@@ -7,10 +7,10 @@
 // and prints the end-to-end metrics (--trace 0) or the per-layer
 // metrics (--trace 1) as the last line of stdout, in the JSON shape
 // perfbench/run.py documents.  Every run checks its outputs: each
-// delivery passes Definition-1 validation, a seed's delivery digest
-// and WAL counts at a fixed checkpoint are printed for cross-run
-// comparison, recovery restores the exact pre-crash pending set, and
-// in paper_waves every lane coordinates in every round.
+// delivery passes Definition-1 validation, the delivery digest and WAL
+// counts at a fixed checkpoint agree across the run's segments (and
+// across the traced and untraced passes), and recovery restores the
+// exact pre-crash pending set.
 //
 // --oracle-check replays a reduced run through the stack and through
 // the from-scratch engine (EngineOptions::incremental = false, no
@@ -101,13 +101,6 @@ struct Stack {
   std::vector<ClientSession*> sessions;
 };
 
-/// Shard threads for `w`: workers plus the driver thread stay within
-/// the host's cores.
-size_t Threads(const Workload& w) {
-  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::max<size_t>(1, std::min(w.shard_threads, hw - 1));
-}
-
 /// Wires engine -> durable -> sessions over `stack->db`, which must
 /// already hold the facts.  `clock` non-null inserts the two timing
 /// decorators.  Returns the durable service's Create status.
@@ -115,7 +108,7 @@ entangled::Status WireStack(Stack* stack, const Workload& w,
                             const std::string& dir, SpanClock* clock) {
   entangled::ShardedEngineOptions options;
   options.engine.evaluate_every = w.evaluate_every;
-  options.shard_threads = Threads(w);
+  options.shard_threads = 1;  // the client's thread does all the work
   stack->engine =
       std::make_unique<ShardedCoordinationEngine>(&stack->db, options);
   entangled::CoordinationService* below = stack->engine.get();
@@ -237,12 +230,6 @@ class OracleTarget : public Target {
 // The closed-loop client.
 // ---------------------------------------------------------------------------
 
-/// Lane of a paper_waves query name ("w<lane>_<node>"), or -1.
-int LaneOf(const std::string& name) {
-  if (name.size() < 3 || name[0] != 'w') return -1;
-  return std::atoi(name.c_str() + 1);
-}
-
 class Client {
  public:
   Client(const Workload& w, Target* target) : w_(w), target_(target) {}
@@ -306,10 +293,8 @@ class Client {
       }
       case Step::Kind::kFlush: {
         ++attempted_;
-        if (w_.lanes > 0) lanes_hit_.assign(w_.lanes, false);
         target_->Flush();
         AfterCall(start, {});
-        if (w_.lanes > 0) CheckWave();
         break;
       }
     }
@@ -317,14 +302,6 @@ class Client {
         position_ % w_.snapshot_every == 0) {
       target_->Snapshot();
     }
-  }
-
-  /// Whether the last step closed a paper_waves round (or any step,
-  /// for workloads without rounds).
-  bool AtBoundary() const {
-    return w_.lanes == 0 ||
-           w_.ring[(position_ + w_.ring.size() - 1) % w_.ring.size()].kind ==
-               Step::Kind::kFlush;
   }
 
   // ---- measurement controls ----
@@ -393,19 +370,6 @@ class Client {
 
   void Settle(const Arrival& a);
 
-  void CheckWave() {
-    for (size_t lane = 0; lane < w_.lanes; ++lane) {
-      if (!lanes_hit_[lane]) {
-        Fail("paper_waves: lane " + std::to_string(lane) +
-             " did not coordinate in its round");
-      }
-    }
-    if (target_->NumPending() != 0) {
-      Fail("paper_waves: " + std::to_string(target_->NumPending()) +
-           " queries still pending after the round's flush");
-    }
-  }
-
   const Workload& w_;
   Target* target_;
   size_t position_ = 0;
@@ -416,7 +380,6 @@ class Client {
   std::vector<Arrival> arrived_;     ///< deliveries of the current call
   bool delivered_any_ = false;
   uint64_t last_sequence_ = 0;
-  std::vector<bool> lanes_hit_;
 
   bool record_latency_ = false;
   bool snapshots_on_ = true;
@@ -451,12 +414,6 @@ void Client::Settle(const Arrival& a) {
     mix(static_cast<uint64_t>(q.id));
     last = std::max(last, q.id);
     stream_pending_.erase(q.id);
-    if (!lanes_hit_.empty()) {
-      const int lane = LaneOf(q.name);
-      if (lane >= 0 && static_cast<size_t>(lane) < lanes_hit_.size()) {
-        lanes_hit_[static_cast<size_t>(lane)] = true;
-      }
-    }
   }
   if (record_latency_ && last >= 0 &&
       static_cast<size_t>(last) < call_start_.size() &&
@@ -607,14 +564,18 @@ double PeakRssMb() {
 /// short burst of host noise moves no number.
 constexpr int kSegments = 5;
 
+/// Timed recoveries per segment, each from its own copy of the crash
+/// directory.
+constexpr int kRecoveries = 3;
+
 /// Latency samples a sub-window needs before it may close: its p99
 /// then has at least ten samples beyond it.
 constexpr size_t kMinSliceSamples = 1000;
 
 /// One timed segment: steps until `seconds` have elapsed (net of
-/// validation) and the checkpoint is reached, ending on a round
-/// boundary, cut into `slices` sub-windows of at least
-/// kMinSliceSamples latencies each.  `on_step` runs after every step.
+/// validation) and the checkpoint is reached, cut into `slices`
+/// sub-windows of at least kMinSliceSamples latencies each.  `on_step`
+/// runs after every step.
 template <typename OnStep>
 Window Measure(const Workload& w, Rig* s, double seconds, int slices,
                OnStep on_step) {
@@ -642,7 +603,6 @@ Window Measure(const Workload& w, Rig* s, double seconds, int slices,
       checked = true;
     }
     net = NowNanos() - start - (c->paused_ns() - paused0);
-    if (!c->AtBoundary()) continue;
     const int64_t edge =
         budget * static_cast<int64_t>(win.slices.size() + 1) / slices;
     if (net >= edge &&
@@ -672,16 +632,6 @@ double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const size_t n = v.size();
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// The mean.  Used for recovery_s: one recovery's time falls in one of
-/// two modes on a shared host (about 0.65 s or 1.0 s on social_stream,
-/// by run period rather than by crash state), and a median of five
-/// flips between them where a mean moves by a fifth of the gap.
-double Mean(const std::vector<double>& v) {
-  double sum = 0;
-  for (double x : v) sum += x;
-  return sum / static_cast<double>(v.size());
 }
 
 /// Nearest-rank percentile of the raw samples.
@@ -908,6 +858,7 @@ int RunEndToEnd(const Options& o, const Workload& w) {
   uint64_t attempted = 0, failed = 0, texts = 0, samples = 0, validated = 0;
   double window_s = 0, rss_mb = 0;
   size_t pending_at_crash = 0;
+  std::ostringstream recovery_phases;
   Checkpoint first;
   Rig s;
   for (int segment = 0; segment < kSegments; ++segment) {
@@ -940,12 +891,17 @@ int RunEndToEnd(const Options& o, const Workload& w) {
     }
     samples += lat.size();
     segment_p99.push_back(Percentile(lat, 0.99));
-    // Every segment ends in a crash and a timed recovery, so the
-    // recoveries sample host noise across the whole run too.
+    // Every segment ends in a crash and timed recoveries from untouched
+    // copies of the crash directory, so the recoveries sample host noise
+    // across the whole run too.
     const PreCrash pre = RunTailAndCrash(w, &s);
     pending_at_crash = pre.pending.size();
-    recoveries.push_back(
-        Recover(w, dir, o.workdir + "/recovered", pre).total_s);
+    for (int r = 0; r < kRecoveries; ++r) {
+      const RecoveryTimes t = Recover(w, dir, o.workdir + "/recovered", pre);
+      recoveries.push_back(t.total_s);
+      recovery_phases << t.read_state_s << "/" << t.rebuild_db_s << "/"
+                      << t.recover_s << ",";
+    }
   }
   fs::remove_all(dir);
   const double failed_share =
@@ -961,6 +917,7 @@ int RunEndToEnd(const Options& o, const Workload& w) {
   for (double x : setups) std::cout << x << ",";
   std::cout << " recoveries=";
   for (double x : recoveries) std::cout << x << ",";
+  std::cout << " recovery_phases=" << recovery_phases.str();
   std::cout << " slices_qps=";
   for (double q : slice_qps) std::cout << static_cast<int>(q) << ",";
   std::cout << "\n";
@@ -968,7 +925,7 @@ int RunEndToEnd(const Options& o, const Workload& w) {
               {{"throughput_qps", Median(slice_qps), "1/s"},
                {"delivery_p50_ms", Median(slice_p50), "ms"},
                {"delivery_p99_ms", Median(slice_p99), "ms"},
-               {"recovery_s", Mean(recoveries), "s"},
+               {"recovery_s", Median(recoveries), "s"},
                {"setup_s", Median(setups), "s"},
                {"peak_rss_mb", rss_mb, "MB"},
                {"ok_share", 1.0 - failed_share, "share"}});
@@ -980,7 +937,10 @@ int RunEndToEnd(const Options& o, const Workload& w) {
 int RunTraced(const Options& o, const Workload& w) {
   const std::string dir = o.workdir + "/live";
   // Untraced pass: the reference for transparency and overhead.  The
-  // first set-up only warms the process, as in the end-to-end run.
+  // first set-up is discarded: it warms the process (allocator, global
+  // symbol interner), so the untraced and the traced segment both run
+  // in a warm process.  Each pass is a single segment of a fifth of
+  // --seconds, so trace.overhead_ratio compares one segment with one.
   Rig plain;
   SetUp(w, dir, nullptr, &plain);
   SetUp(w, dir, nullptr, &plain);

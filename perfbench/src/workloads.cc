@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "workload/generator.h"
-#include "workload/social_data.h"
 
 namespace perfbench {
 
@@ -36,7 +35,7 @@ bool IsWordChar(char c) {
 /// name gains a `k<slot>` prefix and every answer tag `G<g>M<m>` becomes
 /// `K<slot>G<g>M<m>`, so texts of different slots never unify.  Tags
 /// are the only tokens of that shape (database constants are quoted
-/// lowercase, relation names are `A<n>` / `R<n>`).
+/// lowercase, relation names are `A<n>`, `P<n>` or `R<n>`).
 std::string Relabel(const std::string& text, size_t slot) {
   const std::string label = std::to_string(slot);
   std::string out = "k" + label;
@@ -54,23 +53,44 @@ std::string Relabel(const std::string& text, size_t slot) {
   return out;
 }
 
-/// One generated chunk replayed `slots` times.  Slot r relabels the
-/// chunk's symbols, shuffles its texts and deals them into a fresh
-/// arrival skeleton (single submits, batches, cancels and flushes at the
-/// generator's rates), so the slots share the database but neither their
-/// arrival order nor their batching; a seed's cost then averages over
-/// all slots.  Submitting steps go round-robin over `sessions`.
-std::vector<Step> ChunkRing(const GeneratorOptions& options, size_t slots,
-                            size_t sessions, uint64_t seed) {
+/// The query texts of one generated chunk, in the generator's order.
+std::vector<std::string> ChunkTexts(const GeneratorOptions& options) {
   std::vector<std::string> texts;
   for (const WorkloadEvent& event : WorkloadGenerator(options).Generate().events) {
     texts.insert(texts.end(), event.texts.begin(), event.texts.end());
   }
+  return texts;
+}
+
+/// Moves every answer relation `A<n>` of `text` to `<letter><n>`.
+/// Answer relations are the only tokens that are `A`, digits and an
+/// opening parenthesis (body relations are `R<n>`).
+std::string RenameAnswerRelations(const std::string& text, char letter) {
+  std::string out = text;
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (out[i] != 'A' || (i > 0 && IsWordChar(out[i - 1]))) continue;
+    size_t j = i + 1;
+    while (j < out.size() && std::isdigit(static_cast<unsigned char>(out[j]))) ++j;
+    if (j > i + 1 && j < out.size() && out[j] == '(') out[i] = letter;
+  }
+  return out;
+}
+
+/// Generated chunks replayed over `slots` ring slots, slot r taking
+/// chunk r % chunks.size().  Slot r relabels its chunk's symbols,
+/// shuffles its texts and deals them into a fresh arrival skeleton
+/// (single submits, batches, cancels and flushes at the generator's
+/// rates), so the slots share the database but neither their arrival
+/// order nor their batching; a seed's cost then averages over all
+/// slots.  Submitting steps go round-robin over `sessions`.
+std::vector<Step> ChunkRing(const std::vector<std::vector<std::string>>& chunks,
+                            const GeneratorOptions& options, size_t slots,
+                            size_t sessions, uint64_t seed) {
   std::vector<Step> ring;
   size_t next_session = 0;
   for (size_t slot = 0; slot < slots; ++slot) {
     Rng rng(Mix(seed, 0x5107 + slot));
-    std::vector<std::string> dealt = texts;
+    std::vector<std::string> dealt = chunks[slot % chunks.size()];
     rng.Shuffle(&dealt);
     size_t next = 0;
     while (next < dealt.size()) {
@@ -131,9 +151,8 @@ void MakeSocialStream(uint64_t seed, Workload* w) {
   };
   w->sessions = 16;
   w->evaluate_every = 1;
-  w->shard_threads = 1;
   w->patience = 512;
-  w->ring = ChunkRing(g, kRingSlots, w->sessions, seed);
+  w->ring = ChunkRing({ChunkTexts(g)}, g, kRingSlots, w->sessions, seed);
   const size_t ring_steps = w->ring.size();
   w->snapshot_every = 2048;
   w->warmup_steps = ring_steps;
@@ -167,7 +186,11 @@ GeneratorOptions MergeStreamOptions(uint64_t seed) {
 }
 
 void MakeMergeBacklog(uint64_t seed, double scale, Workload* w) {
-  const GeneratorOptions g = MergeStreamOptions(seed);
+  GeneratorOptions g = MergeStreamOptions(seed);
+  // Shrunk chunks let a short oracle replay reach an odd slot; 128 texts
+  // a slot keep the ring (1024 texts) longer than the patience.
+  g.num_queries = std::max<size_t>(
+      128, static_cast<size_t>(std::lround(kStreamChunk * scale)));
   w->build_db = [g](Database* db) {
     ENTANGLED_CHECK(WorkloadGenerator(g).BuildDatabase(db).ok());
   };
@@ -186,9 +209,21 @@ void MakeMergeBacklog(uint64_t seed, double scale, Workload* w) {
   }
   w->sessions = 16;
   w->evaluate_every = 4;
-  w->shard_threads = 1;
   w->patience = 512;
-  w->ring = ChunkRing(g, kRingSlots, w->sessions, seed);
+  // Even slots coordinate through the backlog's answer relations, which
+  // the backlog keeps in one relation group for good: their queries
+  // land in the backlog's shard.  Odd slots take the same chunk with
+  // one answer relation per group, renamed to P<n>, which no backlog
+  // query names: their groups form through bridge-storm merges, drain
+  // and are garbage-collected, so the timed window keeps merging.
+  GeneratorOptions own = g;
+  own.relation_partitions = 0;
+  std::vector<std::string> private_texts;
+  for (const std::string& text : ChunkTexts(own)) {
+    private_texts.push_back(RenameAnswerRelations(text, 'P'));
+  }
+  w->ring = ChunkRing({ChunkTexts(g), private_texts}, g, kRingSlots,
+                      w->sessions, seed);
   const size_t ring_steps = w->ring.size();
   w->snapshot_every = 4096;
   w->warmup_steps = ring_steps / 2;
@@ -197,75 +232,11 @@ void MakeMergeBacklog(uint64_t seed, double scale, Workload* w) {
   w->summary = "backlog=" + std::to_string(w->backlog.size()) +
                " resident, ring=" + std::to_string(CountTexts(w->ring)) +
                " texts/" + std::to_string(ring_steps) +
-               " steps, chain groups 2-5, bridge_storm=8, " +
+               " steps, chain groups 2-5, bridge_storm=8, half the slots in " +
                std::to_string(kPartitions) +
-               " answer relations, 16 sessions, evaluate_every=4, "
+               " answer relations shared with the backlog, half in one "
+               "private relation per group, 16 sessions, evaluate_every=4, "
                "patience=512, 1 thread";
-}
-
-// ---- paper_waves -----------------------------------------------------------
-
-constexpr size_t kLanes = 16;
-constexpr size_t kLaneQueries = 64;
-constexpr size_t kRounds = 8;
-
-/// Query `i` of a lane in the Figure-4 list structure: §6.1's query
-/// shape over the social table, in the lane's own answer relation, with
-/// one postcondition on query i+1 (the last has none), so the whole lane
-/// is one coordinating set.  `offset` picks the lane's handles.
-std::string LaneQuery(size_t lane, size_t offset, size_t i) {
-  auto handle = [offset](size_t node) {
-    return "'" +
-           entangled::SocialHandle((offset + node) %
-                                   entangled::kSlashdotTableSize) +
-           "'";
-  };
-  const std::string rel = "L" + std::to_string(lane);
-  const std::string post =
-      i + 1 < kLaneQueries ? rel + "(" + handle(i + 1) + ", y)" : "";
-  return "w" + std::to_string(lane) + "_" + std::to_string(i) + ": { " +
-         post + " } " + rel + "(" + handle(i) + ", x) :- Users(x, " +
-         handle(i) + ").";
-}
-
-void MakePaperWaves(uint64_t seed, Workload* w) {
-  w->build_db = [](Database* db) {
-    ENTANGLED_CHECK(entangled::InstallSocialTable(
-                        db, "Users", entangled::kSlashdotTableSize)
-                        .ok());
-  };
-  w->sessions = kLanes;
-  w->lanes = kLanes;
-  w->evaluate_every = 0;
-  w->shard_threads = 2;
-  Rng rng(Mix(seed, 2));
-  for (size_t round = 0; round < kRounds; ++round) {
-    std::vector<size_t> offsets(kLanes);
-    for (size_t& offset : offsets) {
-      offset = static_cast<size_t>(rng.NextBounded(entangled::kSlashdotTableSize));
-    }
-    for (size_t i = 0; i < kLaneQueries; ++i) {
-      for (size_t lane = 0; lane < kLanes; ++lane) {
-        Step step;
-        step.kind = Step::Kind::kSubmit;
-        step.session = lane;
-        step.texts.push_back(LaneQuery(lane, offsets[lane], i));
-        w->ring.push_back(std::move(step));
-      }
-    }
-    w->ring.push_back(Step{});  // the round's Flush
-  }
-  const size_t round_steps = w->ring.size() / kRounds;
-  w->snapshot_every = 16 * round_steps;
-  w->warmup_steps = 4 * round_steps;
-  w->check_steps = 15 * round_steps;
-  w->tail_steps = 16 * round_steps;
-  w->summary = std::to_string(kLanes) + " lanes x " +
-               std::to_string(kLaneQueries) +
-               " list-structure queries per round, " +
-               std::to_string(entangled::kSlashdotTableSize) +
-               "-row Users table, evaluate_every=0, " +
-               std::to_string(w->shard_threads) + " shard threads";
 }
 
 }  // namespace
@@ -276,8 +247,6 @@ bool MakeWorkload(const std::string& name, uint64_t seed, double scale,
   out->name = name;
   if (name == "social_stream") {
     MakeSocialStream(seed, out);
-  } else if (name == "paper_waves") {
-    MakePaperWaves(seed, out);
   } else if (name == "merge_backlog") {
     MakeMergeBacklog(seed, scale, out);
   } else {

@@ -1,4 +1,4 @@
-// The benchmark's three workloads, each a deterministic function of the
+// The benchmark's two workloads, each a deterministic function of the
 // seed: a fact database, an optional resident backlog, and a ring of
 // steps the driver cycles through for as long as it measures.
 //
@@ -34,7 +34,6 @@ struct Workload {
   std::function<void(entangled::Database*)> build_db;
   size_t sessions = 1;
   size_t evaluate_every = 1;
-  size_t shard_threads = 1;
   /// A session cancels its query once this many further query texts
   /// have arrived and it is still pending (0 = no patience).
   size_t patience = 0;
@@ -47,16 +46,14 @@ struct Workload {
   size_t warmup_steps = 0;  ///< untimed prefix, part of set-up
   size_t check_steps = 0;   ///< timed steps covered by the digest check
   size_t tail_steps = 0;    ///< untimed steps between snapshot and crash
-  /// paper_waves: lanes per round (each its own session and relation);
-  /// every round ends with a Flush in which every lane must deliver.
-  size_t lanes = 0;
   /// Human-readable size summary printed with every run.
   std::string summary;
 };
 
-/// Builds workload `name` from `seed`.  `scale` in (0, 1] shrinks the
-/// resident backlog (the self-test runs the from-scratch oracle, which
-/// is quadratic in pending queries).  Returns false on an unknown name.
+/// Builds workload `name` from `seed`.  `scale` in (0, 1] shrinks
+/// merge_backlog's resident backlog and ring chunks (the self-test runs
+/// the from-scratch oracle, which is quadratic in pending queries).
+/// Returns false on an unknown name.
 bool MakeWorkload(const std::string& name, uint64_t seed, double scale,
                   Workload* out);
 
