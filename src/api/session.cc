@@ -37,35 +37,31 @@ bool IsSelfUnsafe(const EntangledQuery& query) {
   return false;
 }
 
-/// Per-query admission check; kNone when the text passes (or when the
-/// session forwards verbatim).  `message` receives the detail.  The
-/// scratch parse is the deliberate price of checking *before* the
-/// engine sees the query; sessions with neither defect checks nor a
-/// footprint quota (e.g. the stress harness default) skip it entirely.
+/// Per-query admission check; kNone when the text passes.  `message`
+/// receives the detail.  The scratch parse is the deliberate price of
+/// rejecting queries that are defective in isolation *before* the
+/// engine sees them: a duplicate-head query double-books one answer
+/// slot, and a self-unsafe query poisons every component it ever joins.
+/// Both checks are per-query only, so they accept exactly what the
+/// engine accepts on any single-head query (in particular everything
+/// the workload generator emits).
 RejectReason CheckText(const SessionOptions& options, const std::string& text,
                        std::string* message) {
-  const bool check_defective = options.reject_defective;
-  const bool check_footprint = options.max_body_atoms > 0;
-  if (!check_defective && !check_footprint) return RejectReason::kNone;
   QuerySet scratch;
   auto parsed = ParseQuery(text, &scratch);
   if (!parsed.ok()) {
-    // A footprint quota alone does not opt the session into pre-engine
-    // validation: unparseable texts are forwarded verbatim and the
-    // service's own rejection is classified as usual.
-    if (!check_defective) return RejectReason::kNone;
     *message = parsed.status().message();
     return RejectReason::kParseError;
   }
   const EntangledQuery& query = scratch.query(*parsed);
-  if (check_footprint && query.body.size() > options.max_body_atoms) {
+  if (options.max_body_atoms > 0 &&
+      query.body.size() > options.max_body_atoms) {
     *message = "body of '" + query.name + "' has " +
                std::to_string(query.body.size()) +
                " atoms; this session's footprint quota is " +
                std::to_string(options.max_body_atoms);
     return RejectReason::kQuotaFootprint;
   }
-  if (!check_defective) return RejectReason::kNone;
   if (HasDuplicateHeads(query)) {
     *message = "two head atoms of '" + query.name +
                "' unify with each other (one answer slot booked twice)";
@@ -267,26 +263,14 @@ void SessionManager::SpendTokens(ClientSession* session, double cost) {
 }
 
 bool SessionManager::UpdateShedding() {
-  const size_t high = options_.shed_high_water;
-  const size_t intake_high = options_.shed_intake_high_water;
-  if (high == 0 && intake_high == 0) return false;
-  // IntakeDepth is passive (an atomic ticket read); this never forces a
-  // drain on the submit path.
-  const size_t intake_depth =
-      intake_high > 0 ? service_->IntakeDepth() : 0;
+  if (options_.shed_high_water == 0) return false;
   if (!shedding_) {
-    const bool pending_over = high > 0 && tracked_pending_ >= high;
-    const bool intake_over = intake_high > 0 && intake_depth >= intake_high;
-    if (pending_over || intake_over) {
+    if (tracked_pending_ >= options_.shed_high_water) {
       shedding_ = true;
       ++shed_transitions_;
     }
-  } else {
-    const bool pending_recovered =
-        high == 0 || tracked_pending_ <= options_.shed_low_water;
-    const bool intake_recovered =
-        intake_high == 0 || intake_depth <= intake_high / 2;
-    if (pending_recovered && intake_recovered) shedding_ = false;
+  } else if (tracked_pending_ <= options_.shed_low_water) {
+    shedding_ = false;
   }
   return shedding_;
 }

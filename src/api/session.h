@@ -95,16 +95,6 @@ struct SessionEvent {
 struct SessionOptions {
   std::string label;  ///< display name for operators ("" = "s<id>")
 
-  /// Reject queries that are defective in isolation *before* they reach
-  /// the engine: a duplicate-head query double-books one answer slot,
-  /// and a self-unsafe query (one of its own postconditions unifies
-  /// with two of its own heads) poisons every component it ever joins —
-  /// Definition 2 can never hold for a set containing it.  Both checks
-  /// are per-query only, so they accept exactly what the engine accepts
-  /// on any single-head query (in particular everything the workload
-  /// generator emits); disable them to forward texts verbatim.
-  bool reject_defective = true;
-
   // ---- per-session quotas (0 = unlimited).  Every quota rejection is
   // a typed outcome (kQuotaPending / kQuotaRate / kQuotaFootprint):
   // nothing throws, nothing is silently dropped, and the metrics
@@ -148,13 +138,6 @@ struct ManagerOptions {
   /// admissible throughout: they are how the backlog drains.
   size_t shed_high_water = 0;
   size_t shed_low_water = 0;
-
-  /// Same shedding trigger on the service's intake-queue depth
-  /// (CoordinationService::IntakeDepth — validated-but-undrained
-  /// submissions).  Only meaningful over an AdmitsDeferred service;
-  /// recovery requires the depth back under half the mark.  The read is
-  /// passive, so arming this never defeats the non-blocking intake.
-  size_t shed_intake_high_water = 0;
 
   /// Monotonic clock for the rate quotas, nanoseconds.  Null (the
   /// default) reads std::chrono::steady_clock; tests inject a manual

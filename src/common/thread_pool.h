@@ -1,6 +1,7 @@
 #ifndef ENTANGLED_COMMON_THREAD_POOL_H_
 #define ENTANGLED_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -32,13 +33,13 @@ namespace entangled {
 /// RunChunked serves fine fan-out — the engine's "evaluate these K
 /// dirty components".  The index space is sliced into one contiguous
 /// run per participant; each participant drains its own run in chunks
-/// of `chunk` indices (one atomic fetch_add per chunk, not one closure
-/// per component), then steals chunks from other runs until everything
-/// is claimed.  The **calling thread participates**, which makes nested
-/// use safe: a worker running a shard flush can RunChunked that shard's
-/// components and is guaranteed progress even when every other worker
-/// is busy — whoever claims a chunk runs it to completion without
-/// blocking, so the claimant chain always terminates.
+/// of about an eighth of a run (one atomic fetch_add per chunk, not one
+/// closure per component), then steals chunks from other runs until
+/// everything is claimed.  The **calling thread participates**, which
+/// makes nested use safe: a worker running a shard flush can RunChunked
+/// that shard's components and is guaranteed progress even when every
+/// other worker is busy — whoever claims a chunk runs it to completion
+/// without blocking, so the claimant chain always terminates.
 ///
 /// Results travel through whatever the closures capture; ordering is
 /// the caller's responsibility — the engine keeps its outputs
@@ -101,26 +102,25 @@ class ThreadPool {
 
   /// Chunked work-stealing parallel-for: invokes `fn(i)` exactly once
   /// for every i in [0, count), on the calling thread plus up to
-  /// num_threads() helpers, claiming `chunk` consecutive indices per
-  /// atomic op.  Returns once every index has finished; the callees'
-  /// writes are visible to the caller.  `fn` must be safe to invoke
+  /// num_threads() helpers (never more participants than indices).
+  /// Each participant's run splits into about eight claims of
+  /// max(1, count / (8 * participants)) consecutive indices, so a
+  /// small wave still spreads while a large one pays one atomic op per
+  /// chunk.  Returns once every index has finished; the callees' writes
+  /// are visible to the caller.  `fn` must be safe to invoke
   /// concurrently for distinct indices and must not block on the pool.
-  void RunChunked(size_t count, size_t chunk,
-                  const std::function<void(size_t)>& fn) {
+  void RunChunked(size_t count, const std::function<void(size_t)>& fn) {
     if (count == 0) return;
-    if (chunk == 0) chunk = 1;
-    size_t chunks = (count + chunk - 1) / chunk;
-    size_t helpers = workers_.size();
-    if (helpers + 1 > chunks) helpers = chunks - 1;
-    if (helpers == 0) {  // serial fast path: nothing to steal, no job state
-      for (size_t i = 0; i < count; ++i) fn(i);
+    const size_t participants = std::min(workers_.size() + 1, count);
+    if (participants == 1) {  // serial fast path: nothing to steal
+      fn(0);
       return;
     }
     auto job = std::make_shared<ChunkJob>();
     job->fn = &fn;
     job->count = count;
-    job->chunk = chunk;
-    job->num_runs = helpers + 1;
+    job->chunk = std::max<size_t>(1, count / (8 * participants));
+    job->num_runs = participants;
     job->runs.reset(new ChunkJob::Run[job->num_runs]);
     size_t base = count / job->num_runs;
     size_t rem = count % job->num_runs;
@@ -135,7 +135,7 @@ class ThreadPool {
     // after the job already drained finds every run dry and returns.
     // `fn` itself is only dereferenced for claimed indices, all of
     // which complete before the caller's wait below returns.
-    for (size_t h = 0; h < helpers; ++h) {
+    for (size_t h = 1; h < participants; ++h) {
       Submit([job] { Participate(*job); });
     }
     Participate(*job);

@@ -813,7 +813,7 @@ size_t CoordinationEngine::IncrementalFlush() {
       // Workers write into disjoint pre-sized slots; no slot is created
       // or destroyed while the wave runs, so the deque is stable (and
       // each component's state/memo is touched by exactly one worker).
-      pool->RunChunked(n, options_.flush_chunk, [this, begin](size_t i) {
+      pool->RunChunked(n, [this, begin](size_t i) {
         PendingEval& eval = eval_slots_[begin + i];
         eval.outcome = RunTask(*eval.task_ptr,
                                eval.state ? &eval.state->memo : nullptr);

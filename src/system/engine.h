@@ -120,13 +120,6 @@ struct EngineOptions {
   /// most n compute threads.
   size_t flush_threads = 1;
 
-  /// Dirty components claimed per atomic operation by the chunked
-  /// work-stealing flush (ThreadPool::RunChunked): each participant
-  /// grabs `flush_chunk` consecutive evaluation slots at a time instead
-  /// of one closure per component.  Purely a scheduling knob — outputs
-  /// never depend on it.
-  size_t flush_chunk = 8;
-
   /// Capacity of the deferred-admission intake queue.  0 (the default)
   /// admits inline, exactly as before.  > 0 arms a bounded MPSC queue
   /// in front of the engine: Submit/SubmitBatch parse + validate on the

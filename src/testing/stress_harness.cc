@@ -47,8 +47,7 @@ std::string LogToString(const std::vector<StressDelivery>& log) {
 struct EngineVariant {
   bool sharded = false;
   EngineOptions engine;
-  size_t shard_threads = 1;      ///< sharded only
-  bool rebuild_merges = false;   ///< sharded only: rebuild-merge baseline
+  size_t shard_threads = 1;  ///< sharded only
 };
 
 EngineVariant OracleVariant() {
@@ -61,14 +60,12 @@ EngineVariant OracleVariant() {
 EngineVariant IncrementalVariant(size_t threads,
                                  const EngineFaultInjection& fault,
                                  size_t intake_capacity = 0,
-                                 size_t flush_chunk = 0,
                                  bool delta_eval = true) {
   EngineVariant variant;
   variant.engine.incremental = true;
   variant.engine.evaluate_every = 1;
   variant.engine.flush_threads = threads;
   variant.engine.intake_capacity = intake_capacity;
-  if (flush_chunk > 0) variant.engine.flush_chunk = flush_chunk;
   variant.engine.delta_eval = delta_eval;
   variant.engine.fault = fault;
   return variant;
@@ -76,8 +73,7 @@ EngineVariant IncrementalVariant(size_t threads,
 
 EngineVariant ShardedVariant(size_t shard_threads,
                              const EngineFaultInjection& fault,
-                             bool delta_eval = true,
-                             bool rebuild_merges = false) {
+                             bool delta_eval = true) {
   EngineVariant variant;
   variant.sharded = true;
   variant.engine.incremental = true;
@@ -85,7 +81,6 @@ EngineVariant ShardedVariant(size_t shard_threads,
   variant.engine.delta_eval = delta_eval;
   variant.engine.fault = fault;
   variant.shard_threads = shard_threads;
-  variant.rebuild_merges = rebuild_merges;
   return variant;
 }
 
@@ -104,7 +99,6 @@ EngineInstance MakeEngine(const Database& db, const EngineVariant& variant) {
     ShardedEngineOptions options;
     options.engine = variant.engine;
     options.shard_threads = variant.shard_threads;
-    options.rebuild_merges = variant.rebuild_merges;
     auto engine = std::make_unique<ShardedCoordinationEngine>(&db, options);
     auto* raw = engine.get();
     instance.service = std::move(engine);
@@ -717,34 +711,25 @@ std::string StressHarness::CheckOnce(const Database& db,
   std::string err = CheckInvariants("oracle", oracle);
   if (!err.empty()) return err;
   // Incremental variants: every flush-thread count crossed with every
-  // intake capacity, and (for multi-threaded flushes only) every chunk
-  // size.  All of them promise the oracle's byte-identical output.
+  // intake capacity.  All of them promise the oracle's byte-identical
+  // output.
   const std::vector<size_t> kInlineOnly = {0};
   const std::vector<size_t>& capacities =
       options_.intake_capacities.empty() ? kInlineOnly
                                          : options_.intake_capacities;
   for (size_t threads : options_.flush_thread_counts) {
-    const std::vector<size_t> kDefaultChunk = {0};
-    const std::vector<size_t>& chunks =
-        (threads > 1 && !options_.flush_chunks.empty()) ? options_.flush_chunks
-                                                        : kDefaultChunk;
     for (size_t capacity : capacities) {
-      for (size_t chunk : chunks) {
-        std::string label =
-            "incremental[flush_threads=" + std::to_string(threads) +
-            ",intake=" + std::to_string(capacity);
-        if (chunk > 0) label += ",chunk=" + std::to_string(chunk);
-        label += "]";
-        StressReplay run = Replay(
-            db, IncrementalVariant(threads, options_.fault, capacity, chunk),
-            events);
-        err = CheckInvariants(label, run);
-        if (!err.empty()) return err;
-        err = CompareRuns("oracle", oracle, label, run);
-        if (!err.empty()) return err;
-        if (threads == 1 && capacity == 0 && single_thread != nullptr) {
-          *single_thread = std::move(run);
-        }
+      const std::string label =
+          "incremental[flush_threads=" + std::to_string(threads) +
+          ",intake=" + std::to_string(capacity) + "]";
+      StressReplay run = Replay(
+          db, IncrementalVariant(threads, options_.fault, capacity), events);
+      err = CheckInvariants(label, run);
+      if (!err.empty()) return err;
+      err = CompareRuns("oracle", oracle, label, run);
+      if (!err.empty()) return err;
+      if (threads == 1 && capacity == 0 && single_thread != nullptr) {
+        *single_thread = std::move(run);
       }
     }
   }
@@ -796,25 +781,6 @@ std::string StressHarness::CheckOnce(const Database& db,
       if (!err.empty()) return err;
     }
   }
-  // Rebuild-merge baseline: the small-into-large migration policy and
-  // the historical rebuild-everything policy must be byte-identical
-  // (the schedule keys make merge mechanics unobservable).  One width
-  // suffices — merge policy is orthogonal to the flush pool.
-  if (options_.cross_rebuild_merges &&
-      !options_.shard_thread_counts.empty()) {
-    const size_t threads = options_.shard_thread_counts.front();
-    const std::string label = "sharded[shard_threads=" +
-                              std::to_string(threads) + ",rebuild_merges]";
-    StressReplay run =
-        Replay(db,
-               ShardedVariant(threads, options_.fault, /*delta_eval=*/true,
-                              /*rebuild_merges=*/true),
-               events);
-    err = CheckInvariants(label, run);
-    if (!err.empty()) return err;
-    err = CompareRuns("oracle", oracle, label, run);
-    if (!err.empty()) return err;
-  }
   // Delta-aware evaluation off: the memoization/skip machinery must be
   // a pure optimization — disabling it cannot change any outcome.  One
   // incremental variant per flush-thread count plus one sharded width.
@@ -826,7 +792,7 @@ std::string StressHarness::CheckOnce(const Database& db,
       StressReplay run = Replay(
           db,
           IncrementalVariant(threads, options_.fault, /*intake_capacity=*/0,
-                             /*flush_chunk=*/0, /*delta_eval=*/false),
+                             /*delta_eval=*/false),
           events);
       err = CheckInvariants(label, run);
       if (!err.empty()) return err;

@@ -25,12 +25,6 @@ struct StressOptions {
   /// same byte-identical contract.
   std::vector<size_t> intake_capacities = {0, 64};
 
-  /// Flush chunk sizes crossed with the *multi-threaded* incremental
-  /// variants (chunking never runs at flush_threads=1).  Chunk size is
-  /// a pure scheduling knob; every value must produce the oracle's
-  /// exact delivery log.
-  std::vector<size_t> flush_chunks = {1, 8};
-
   /// ShardedCoordinationEngine variants additionally compared against
   /// the same oracle on every scenario (the sharded front door promises
   /// byte-identical delivery logs, witnesses, and pending sets at any
@@ -76,13 +70,6 @@ struct StressOptions {
   /// runs clean).  Used by negative tests to prove the harness detects
   /// a deliberately-broken engine; see EngineFaultInjection.
   EngineFaultInjection fault;
-
-  /// Additionally replay one sharded variant with the rebuild-merge
-  /// baseline (`ShardedEngineOptions::rebuild_merges = true`) and hold
-  /// it to the same byte-identical contract: merge mechanics — migrate
-  /// the smaller sides into the survivor vs rebuild the union — must be
-  /// unobservable in every output.
-  bool cross_rebuild_merges = true;
 
   /// Additionally replay every scenario with delta-aware evaluation
   /// disabled (`EngineOptions::delta_eval = false`) — one incremental

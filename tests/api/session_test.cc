@@ -90,17 +90,6 @@ TEST_F(SessionTest, TypedRejectionReasons) {
   // Nothing defective was admitted.
   EXPECT_EQ(manager.StatsSnapshot().submitted, 0u);
   EXPECT_EQ(session->num_pending(), 0u);
-
-  // The checks are policy: a session that forwards verbatim admits the
-  // same texts (the *set*-level unsafety is then the engine's business,
-  // exactly as before the session layer existed).
-  SessionOptions verbatim;
-  verbatim.reject_defective = false;
-  ClientSession* raw = manager.Open(verbatim);
-  EXPECT_TRUE(raw->Submit(
-                     "dup: { } R(A, x), R(A, y) :- Users(x, 'user1'), "
-                     "Users(y, 'user1').")
-                  .ok());
 }
 
 TEST_F(SessionTest, BatchOutcomeNamesTheOffendingText) {
@@ -374,17 +363,6 @@ TEST_F(SessionTest, FootprintQuotaBoundsBodyWidth) {
   EXPECT_EQ(batch.reason, RejectReason::kQuotaFootprint);
   EXPECT_EQ(batch.rejected_index, 1u);
   EXPECT_EQ(session->num_pending(), 1u);
-
-  // The footprint quota alone does not opt the session into pre-engine
-  // validation: a verbatim session still forwards unparseable texts and
-  // the *service's* rejection is classified, while parseable-but-wide
-  // texts bounce on the quota.
-  SessionOptions verbatim;
-  verbatim.reject_defective = false;
-  verbatim.max_body_atoms = 1;
-  ClientSession* raw = manager.Open(verbatim);
-  EXPECT_EQ(raw->Submit("not a query").reason, RejectReason::kParseError);
-  EXPECT_EQ(raw->Submit(wide).reason, RejectReason::kQuotaFootprint);
 }
 
 TEST_F(SessionTest, GlobalPendingCeilingSpansSessions) {

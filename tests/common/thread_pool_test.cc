@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -80,30 +83,44 @@ TEST(ThreadPoolTest, WaitReusableAfterIdle) {
 
 TEST(ThreadPoolTest, RunChunkedCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
-  for (size_t count : {1u, 7u, 64u, 1000u}) {
-    for (size_t chunk : {1u, 8u, 1024u}) {
-      std::vector<std::atomic<int>> hits(count);
-      for (auto& h : hits) h.store(0);
-      pool.RunChunked(count, chunk,
-                      [&hits](size_t i) { hits[i].fetch_add(1); });
-      for (size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(hits[i].load(), 1) << "count=" << count << " i=" << i;
-      }
+  for (size_t count : {1u, 2u, 7u, 64u, 1000u, 5000u}) {
+    std::vector<std::atomic<int>> hits(count);
+    for (auto& h : hits) h.store(0);
+    pool.RunChunked(count, [&hits](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "count=" << count << " i=" << i;
     }
   }
+}
+
+TEST(ThreadPoolTest, RunChunkedSpreadsASmallWaveAcrossParticipants) {
+  // Eight indices on three workers must not all land on one
+  // participant: each call blocks until a second thread has shown up,
+  // which only happens if the wave was split.
+  ThreadPool pool(3);
+  std::mutex mutex;
+  std::condition_variable seen_cv;
+  std::set<std::thread::id> seen;
+  pool.RunChunked(8, [&](size_t) {
+    std::unique_lock<std::mutex> lock(mutex);
+    seen.insert(std::this_thread::get_id());
+    seen_cv.notify_all();
+    seen_cv.wait_for(lock, std::chrono::seconds(10),
+                     [&seen] { return seen.size() >= 2; });
+  });
+  EXPECT_GE(seen.size(), 2u);
 }
 
 TEST(ThreadPoolTest, RunChunkedWritesVisibleToCaller) {
   ThreadPool pool(4);
   std::vector<uint64_t> out(5000, 0);  // plain writes, distinct slots
-  pool.RunChunked(out.size(), 16,
-                  [&out](size_t i) { out[i] = i * i; });
+  pool.RunChunked(out.size(), [&out](size_t i) { out[i] = i * i; });
   for (size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], i * i);
 }
 
 TEST(ThreadPoolTest, RunChunkedZeroCountIsNoop) {
   ThreadPool pool(2);
-  pool.RunChunked(0, 4, [](size_t) { FAIL() << "must not be invoked"; });
+  pool.RunChunked(0, [](size_t) { FAIL() << "must not be invoked"; });
 }
 
 TEST(ThreadPoolTest, RunChunkedNestedInsideSubmittedTask) {
@@ -114,7 +131,7 @@ TEST(ThreadPoolTest, RunChunkedNestedInsideSubmittedTask) {
   std::atomic<int> total{0};
   for (int t = 0; t < 4; ++t) {
     pool.Submit([&pool, &total] {
-      pool.RunChunked(100, 8, [&total](size_t) { total.fetch_add(1); });
+      pool.RunChunked(100, [&total](size_t) { total.fetch_add(1); });
     });
   }
   pool.Wait();
@@ -128,7 +145,7 @@ TEST(ThreadPoolTest, RunChunkedInterleavesWithSubmit) {
   for (int i = 0; i < 50; ++i) {
     pool.Submit([&submitted] { ++submitted; });
   }
-  pool.RunChunked(500, 4, [&chunked](size_t) { ++chunked; });
+  pool.RunChunked(500, [&chunked](size_t) { ++chunked; });
   pool.Wait();
   EXPECT_EQ(submitted.load(), 50);
   EXPECT_EQ(chunked.load(), 500);

@@ -74,8 +74,7 @@ const Profile kProfiles[] = {
      }},
     // Merge churn: every 3rd query bridges the two most recent earlier
     // groups, so k-way shard merges fire constantly — the hot path of
-    // the small-into-large migration (and its rebuild-merge baseline,
-    // which the harness crosses in on every scenario).
+    // the small-into-large migration.
     {"bridge_storm",
      [](GeneratorOptions* o) {
        o->bridge_storm = 3;
@@ -181,7 +180,6 @@ TEST(StressSmoke, CrashPointSweep) {
     // only re-verify engine internals to keep the tier-1 budget.
     stress.run_metamorphic = false;
     stress.cross_delta_eval = false;
-    stress.cross_rebuild_merges = false;
     stress.session_count = 0;
     StressHarness harness(stress);
     GeneratorOptions options;
